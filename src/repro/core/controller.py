@@ -19,6 +19,27 @@ Design notes:
 - the optimizer selector's ``SA``/``SH`` switches are realised by
   *forcing* the corresponding steps' actions and giving them zero weight
   in the gradient (see :mod:`repro.core.reinforce`).
+
+Fast path (bit-identical to a plain per-step implementation):
+
+- *Prefix sharing.*  A step's cache depends only on the weights and the
+  earlier actions, and a forced step draws no randomness.  So a
+  hardware-only sample whose architecture tokens are forced to those of
+  the episode's joint sample, drawn before any update, reuses the joint
+  sample's caches, log-probs and entropies up to its first unforced
+  position (``sample(..., prefix=joint_sample)``).  The shared caches
+  were built unforced, so whether a step was forced is recorded on the
+  :class:`ControllerSample`, never on a cache.
+- *Dispatch.*  One sigmoid over all four gate blocks, the categorical
+  draw done inline (same checks and RNG use as ``Generator.choice``),
+  ``safe_log`` cached from the forward pass, output-head work skipped on
+  steps whose log-prob and entropy weights are both 0, and gradients
+  accumulated straight into the caller's batch total (``out=``).
+- What remains of :meth:`RNNController.backward` is mostly the exact
+  outer-product accumulation into ``Wx`` and ``Wh``: one multiply and
+  one add per element per step, in step order.  Only a change that
+  reorders those sums (a stacked ``X.T @ dZ`` or a gemm) can cut it, and
+  that changes low bits.
 """
 
 from __future__ import annotations
@@ -63,22 +84,27 @@ class ControllerConfig:
 
 @dataclass
 class _StepCache:
-    """Everything the backward pass needs for one step."""
+    """Everything the backward pass needs for one step.
+
+    A cache depends only on the weights and the actions before it, so
+    samples drawn from the same weights may share the caches of a common
+    forced prefix (see :meth:`RNNController.sample`).  Nothing that
+    differs between such samples lives here — in particular not the
+    forced flags, which are on :class:`ControllerSample`.
+    """
 
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_g: np.ndarray
-    gate_o: np.ndarray
+    #: The four gate activations stacked as ``[i, f, g, o]``.
+    gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
     tanh_c: np.ndarray
     probs: np.ndarray
+    safe_log: np.ndarray
     mask: np.ndarray | None
     action: int
-    forced: bool
 
 
 @dataclass
@@ -89,26 +115,62 @@ class ControllerSample:
         actions: Sampled (or forced) option index per decision.
         log_probs: ``log pi(a_t | a_<t)`` per step.
         entropies: Policy entropy per step.
-        steps: Forward caches for backpropagation.
+        forced: Whether each step's action was forced (teacher forcing)
+            rather than chosen by the policy.
+        steps: Forward caches for backpropagation (possibly shared with
+            the sample this one was drawn with as ``prefix``).
     """
 
     actions: tuple[int, ...]
     log_probs: np.ndarray
     entropies: np.ndarray
+    forced: tuple[bool, ...]
     steps: list[_StepCache] = field(repr=False, default_factory=list)
 
     @property
     def total_log_prob(self) -> float:
         return float(self.log_probs.sum())
 
+    def __setstate__(self, state: dict) -> None:
+        # Samples pickled before the forced flags moved here (pending
+        # joint samples inside older checkpoints) carry them on each step
+        # cache instead, keep the four gates apart and lack ``safe_log``.
+        if "forced" not in state:
+            forced = []
+            for step in state["steps"]:
+                old = step.__dict__
+                forced.append(bool(old.pop("forced")))
+                step.gates = np.concatenate([
+                    old.pop(f"gate_{name}") for name in "ifgo"])
+                step.safe_log = _safe_log(step.probs)
+            state["forced"] = tuple(forced)
+        self.__dict__.update(state)
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+
+#: Tolerance of ``Generator.choice``'s sum-to-one check on ``p``.
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _safe_log(probs: np.ndarray) -> np.ndarray:
+    """``log(probs)`` with 0 where a probability is 0."""
+    positive = probs > 0
+    return np.where(positive, np.log(np.where(positive, probs, 1.0)), 0.0)
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """Same result and RNG advance as ``rng.choice(len(probs), p=probs)``.
+
+    ``Generator.choice`` validates ``p``, then inverts the normalised
+    cumulative sum at one ``rng.random()`` draw; this does exactly that
+    without its per-call argument handling.
+    """
+    if not probs.min() >= 0:
+        raise ValueError("probabilities are not non-negative")
+    if not abs(probs.sum() - 1.0) <= _P_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _masked_softmax(logits: np.ndarray,
@@ -174,6 +236,7 @@ class RNNController:
         mask_fn: MaskFn | None = None,
         forced_actions: dict[int, int] | None = None,
         greedy: bool = False,
+        prefix: ControllerSample | None = None,
     ) -> ControllerSample:
         """Sample one trajectory.
 
@@ -185,29 +248,58 @@ class RNNController:
                 forcing) — the mechanism behind the ``SA``/``SH`` switches.
             greedy: Take the argmax instead of sampling (used to read out
                 the controller's current best guess).
+            prefix: An earlier sample from the *current* weights and the
+                same ``mask_fn``.  Its step caches, log-probs and
+                entropies are reused for the leading positions whose
+                forced action equals its action; sampling resumes at the
+                first other position.  The result is identical to a
+                sample drawn without ``prefix``: forced steps draw no
+                randomness, and a step depends only on the weights and
+                the earlier actions.
         """
         forced_actions = forced_actions or {}
+        t_count = len(self.decisions)
+        params = self.params
+        w_x, w_h, bias = params["Wx"], params["Wh"], params["b"]
         h_size = self.config.hidden_size
-        h = np.zeros(h_size)
-        c = np.zeros(h_size)
-        x = self.params["x0"]
-        actions: list[int] = []
-        log_probs = np.zeros(len(self.decisions))
-        entropies = np.zeros(len(self.decisions))
-        steps: list[_StepCache] = []
-        for t, decision in enumerate(self.decisions):
-            z = (x @ self.params["Wx"] + h @ self.params["Wh"]
-                 + self.params["b"])
-            gate_i = _sigmoid(z[:h_size])
-            gate_f = _sigmoid(z[h_size:2 * h_size])
-            gate_g = np.tanh(z[2 * h_size:3 * h_size])
-            gate_o = _sigmoid(z[3 * h_size:])
+        temperature = self.config.temperature
+        log_probs = np.zeros(t_count)
+        entropies = np.zeros(t_count)
+        start = 0
+        if prefix is not None:
+            while (start < t_count and start in forced_actions
+                   and forced_actions[start] == prefix.actions[start]):
+                start += 1
+        if start:
+            steps = prefix.steps[:start]
+            actions = list(prefix.actions[:start])
+            log_probs[:start] = prefix.log_probs[:start]
+            entropies[:start] = prefix.entropies[:start]
+            h, c = steps[-1].h, steps[-1].c
+            x = params[f"emb{start - 1}"][actions[-1]]
+        else:
+            steps = []
+            actions = []
+            h = np.zeros(h_size)
+            c = np.zeros(h_size)
+            x = params["x0"]
+        for t in range(start, t_count):
+            decision = self.decisions[t]
+            z = x @ w_x + h @ w_h + bias
+            # Numerically stable sigmoid over all four gate blocks, then
+            # tanh over the g block.
+            e = np.exp(-np.abs(z))
+            gates = np.where(z >= 0, 1.0, e) / (1.0 + e)
+            gate_i = gates[:h_size]
+            gate_f = gates[h_size:2 * h_size]
+            gate_g = np.tanh(z[2 * h_size:3 * h_size],
+                             out=gates[2 * h_size:3 * h_size])
+            gate_o = gates[3 * h_size:]
             c_new = gate_f * c + gate_i * gate_g
             tanh_c = np.tanh(c_new)
             h_new = gate_o * tanh_c
-            logits = ((h_new @ self.params[f"Wout{t}"]
-                       + self.params[f"bout{t}"])
-                      / self.config.temperature)
+            logits = ((h_new @ params[f"Wout{t}"] + params[f"bout{t}"])
+                      / temperature)
             mask = mask_fn(t, actions) if mask_fn is not None else None
             probs = _masked_softmax(logits, mask)
             if t in forced_actions:
@@ -223,22 +315,22 @@ class RNNController:
             elif greedy:
                 action = int(np.argmax(probs))
             else:
-                action = int(rng.choice(decision.num_options, p=probs))
+                action = _draw(rng, probs)
             log_probs[t] = float(np.log(probs[action]))
-            safe_log = np.where(probs > 0, np.log(
-                np.where(probs > 0, probs, 1.0)), 0.0)
+            safe_log = _safe_log(probs)
             entropies[t] = float(-(probs * safe_log).sum())
             steps.append(_StepCache(
-                x=x, h_prev=h, c_prev=c, gate_i=gate_i, gate_f=gate_f,
-                gate_g=gate_g, gate_o=gate_o, c=c_new, h=h_new,
-                tanh_c=tanh_c, probs=probs, mask=mask, action=action,
-                forced=t in forced_actions))
+                x=x, h_prev=h, c_prev=c, gates=gates, c=c_new, h=h_new,
+                tanh_c=tanh_c, probs=probs, safe_log=safe_log, mask=mask,
+                action=action))
             actions.append(action)
             h, c = h_new, c_new
-            x = self.params[f"emb{t}"][action]
+            x = params[f"emb{t}"][action]
         return ControllerSample(
             actions=tuple(actions), log_probs=log_probs,
-            entropies=entropies, steps=steps)
+            entropies=entropies,
+            forced=tuple(t in forced_actions for t in range(t_count)),
+            steps=steps)
 
     # ------------------------------------------------------------------
     # Backward
@@ -248,12 +340,23 @@ class RNNController:
         sample: ControllerSample,
         logprob_weights: np.ndarray,
         entropy_weights: np.ndarray | None = None,
+        *,
+        out: dict[str, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
         """Gradients of ``sum_t w_t log pi(a_t) + beta_t H_t`` w.r.t. params.
 
         The caller chooses ``w_t`` to implement Eq. 1 (discounted
         advantage, zero on forced steps); ``beta_t`` adds an optional
         entropy bonus that keeps exploration alive.
+
+        Args:
+            out: Gradient dict to add this sample's gradients to (a batch
+                total); a fresh zero dict when ``None``.  Either way the
+                result is ``out`` plus exactly the gradients of this
+                sample, summed in the same order.
+
+        Returns:
+            ``out``.
         """
         t_count = len(self.decisions)
         if logprob_weights.shape != (t_count,):
@@ -262,52 +365,76 @@ class RNNController:
                 f"{logprob_weights.shape}")
         if entropy_weights is None:
             entropy_weights = np.zeros(t_count)
+        params = self.params
+        if out is None:
+            out = {k: np.zeros_like(v) for k, v in params.items()}
         h_size = self.config.hidden_size
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        temperature = self.config.temperature
+        w_x_t, w_h_t = params["Wx"].T, params["Wh"].T
+        # Wx, Wh and b get one term per step: sum them per sample first,
+        # then add the sum to ``out`` once (the order a per-sample
+        # gradient dict summed into a batch total has).  Every other
+        # entry gets one term per sample and accumulates in place.
+        d_wx = np.zeros_like(params["Wx"])
+        d_wh = np.zeros_like(params["Wh"])
+        d_b = np.zeros_like(params["b"])
+        outer_x = np.empty_like(d_wx)
+        outer_h = np.empty_like(d_wh)
+        i_, f_, g_, o_ = (slice(k * h_size, (k + 1) * h_size)
+                          for k in range(4))
+        d_gates = np.empty(4 * h_size)
+        dz = np.empty(4 * h_size)
         dh_next = np.zeros(h_size)
         dc_next = np.zeros(h_size)
+        steps = sample.steps
         for t in range(t_count - 1, -1, -1):
-            step = sample.steps[t]
-            probs = step.probs
-            onehot = np.zeros_like(probs)
-            onehot[step.action] = 1.0
-            # d/dlogits of log p[a]:  onehot - p   (ascent direction)
-            g_logits = logprob_weights[t] * (onehot - probs)
+            step = steps[t]
+            weight = logprob_weights[t]
             beta = entropy_weights[t]
-            if beta != 0.0:
-                safe_log = np.where(probs > 0, np.log(
-                    np.where(probs > 0, probs, 1.0)), 0.0)
-                entropy = -(probs * safe_log).sum()
-                g_logits += beta * (-probs * (safe_log + entropy))
-            g_logits = g_logits / self.config.temperature
-            grads[f"Wout{t}"] += np.outer(step.h, g_logits)
-            grads[f"bout{t}"] += g_logits
-            dh = g_logits @ self.params[f"Wout{t}"].T + dh_next
+            if weight == 0.0 and beta == 0.0:
+                # A zero logit gradient adds nothing to the head or dh.
+                dh = dh_next
+            else:
+                probs = step.probs
+                # d/dlogits of log p[a]:  onehot - p   (ascent direction)
+                g_logits = -probs
+                g_logits[step.action] += 1.0
+                g_logits *= weight
+                if beta != 0.0:
+                    g_logits += beta * (-probs * (step.safe_log
+                                                  + sample.entropies[t]))
+                g_logits /= temperature
+                out[f"Wout{t}"] += np.multiply.outer(step.h, g_logits)
+                out[f"bout{t}"] += g_logits
+                dh = g_logits @ params[f"Wout{t}"].T + dh_next
             # Input at step t+1 was emb[t][action_t]; its gradient arrives
             # via dx of step t+1, handled below when we compute dx.
-            d_o = dh * step.tanh_c
-            dc = dh * step.gate_o * (1.0 - step.tanh_c ** 2) + dc_next
-            d_i = dc * step.gate_g
-            d_g = dc * step.gate_i
-            d_f = dc * step.c_prev
-            dc_next = dc * step.gate_f
-            dz = np.concatenate([
-                d_i * step.gate_i * (1.0 - step.gate_i),
-                d_f * step.gate_f * (1.0 - step.gate_f),
-                d_g * (1.0 - step.gate_g ** 2),
-                d_o * step.gate_o * (1.0 - step.gate_o),
-            ])
-            grads["Wx"] += np.outer(step.x, dz)
-            grads["Wh"] += np.outer(step.h_prev, dz)
-            grads["b"] += dz
-            dx = dz @ self.params["Wx"].T
+            gates = step.gates
+            np.multiply(dh, step.tanh_c, out=d_gates[o_])
+            dc = dh * gates[o_] * (1.0 - step.tanh_c ** 2) + dc_next
+            np.multiply(dc, gates[g_], out=d_gates[i_])
+            np.multiply(dc, step.c_prev, out=d_gates[f_])
+            np.multiply(dc, gates[i_], out=d_gates[g_])
+            dc_next = dc * gates[f_]
+            # dz = d * gate * (1 - gate) on the sigmoid blocks and
+            # d * (1 - gate**2) on the tanh block.
+            np.multiply(d_gates, gates, out=dz)
+            dz *= 1.0 - gates
+            np.multiply(d_gates[g_], 1.0 - gates[g_] ** 2, out=dz[g_])
+            d_wx += np.multiply.outer(step.x, dz, out=outer_x)
+            if t:  # h_prev of step 0 is the zero initial state
+                d_wh += np.multiply.outer(step.h_prev, dz, out=outer_h)
+            d_b += dz
+            dx = dz @ w_x_t
             if t == 0:
-                grads["x0"] += dx
+                out["x0"] += dx
             else:
-                prev_action = sample.steps[t - 1].action
-                grads[f"emb{t - 1}"][prev_action] += dx
-            dh_next = dz @ self.params["Wh"].T
-        return grads
+                out[f"emb{t - 1}"][steps[t - 1].action] += dx
+            dh_next = dz @ w_h_t
+        out["Wx"] += d_wx
+        out["Wh"] += d_wh
+        out["b"] += d_b
+        return out
 
     # ------------------------------------------------------------------
     # Parameter access

@@ -40,7 +40,8 @@ class ReinforceConfig:
         gamma: Per-step reward discount ``gamma`` of Eq. 1.
         baseline_decay: EMA factor for the reward baseline ``b``.
         entropy_beta: Entropy-bonus weight on policy-owned steps.
-        grad_clip: Global L2 norm clip on the averaged gradient.
+        grad_clip: Global L2 norm clip on the averaged gradient (0
+            disables clipping).
     """
 
     learning_rate: float = 0.15
@@ -64,6 +65,17 @@ class ReinforceConfig:
             raise ValueError("gamma must be in [0, 1]")
         if not 0 <= self.baseline_decay < 1:
             raise ValueError("baseline_decay must be in [0, 1)")
+        # rms_decay = 1 would leave the second moments at 0, so every
+        # update would be lr * g / rms_eps.
+        if not 0 <= self.rms_decay < 1:
+            raise ValueError("rms_decay must be in [0, 1)")
+        if not self.rms_eps > 0:
+            raise ValueError("rms_eps must be positive")
+        # A negative clip would silently disable clipping; 0 disables it.
+        if not self.grad_clip >= 0:
+            raise ValueError("grad_clip must be >= 0 (0 disables clipping)")
+        if not self.entropy_beta >= 0:
+            raise ValueError("entropy_beta must be >= 0")
 
 
 class ReinforceTrainer:
@@ -101,7 +113,7 @@ class ReinforceTrainer:
         weights = np.zeros(t_count)
         entropy = np.zeros(t_count)
         for t in range(t_count):
-            if sample.steps[t].forced:
+            if sample.forced[t]:
                 continue
             if trainable is not None and t not in trainable:
                 continue
@@ -137,9 +149,8 @@ class ReinforceTrainer:
         advantages = []
         for sample, reward in episodes:
             weights, entropy = self.step_weights(sample, reward, trainable)
-            grads = self.controller.backward(sample, weights, entropy)
-            for key, grad in grads.items():
-                grads_total[key] += grad
+            self.controller.backward(sample, weights, entropy,
+                                     out=grads_total)
             base = self.baseline if self.baseline is not None else 0.0
             advantages.append(reward - base)
         scale = 1.0 / len(episodes)

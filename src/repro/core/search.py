@@ -223,7 +223,7 @@ class NASAIC:
         hw_samples = [
             self.controller.sample(
                 self._sample_rng, mask_fn=self.space.mask_for,
-                forced_actions=forced)
+                forced_actions=forced, prefix=joint_sample)
             for _ in range(self.config.hw_steps)]
         self._pending_round = (joint_sample, joint, hw_samples)
         return [(joint.networks, joint.accelerator)] + [

@@ -53,8 +53,7 @@ class TestSampling:
         sample = controller.sample(rng, forced_actions={0: 2, 3: 1})
         assert sample.actions[0] == 2
         assert sample.actions[3] == 1
-        assert sample.steps[0].forced and sample.steps[3].forced
-        assert not sample.steps[1].forced
+        assert sample.forced == (True, False, False, True)
 
     def test_forced_out_of_range(self, controller, rng):
         with pytest.raises(ValueError, match="out of range"):

@@ -151,3 +151,18 @@ class TestConfigValidation:
             ReinforceConfig(lr_decay=0)
         with pytest.raises(ValueError):
             ReinforceConfig(baseline_decay=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rms_decay", 1.0), ("rms_decay", 1.5), ("rms_decay", -0.1),
+        ("rms_eps", 0.0), ("rms_eps", -1e-8),
+        ("grad_clip", -1.0), ("grad_clip", float("nan")),
+        ("entropy_beta", -0.01),
+    ])
+    def test_rejects_bad_rmsprop_clip_and_entropy(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReinforceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("rms_decay", 0.0), ("grad_clip", 0.0), ("entropy_beta", 0.0)])
+    def test_accepts_boundary_values(self, field, value):
+        assert getattr(ReinforceConfig(**{field: value}), field) == value
