@@ -7,30 +7,26 @@ Two studies share this file:
   this quantifies the energy optimality gap on random small instances.
 - **Pricing speedup** (``test_uncached_pricing_speedup`` / ``main``): the
   acceptance gate.  It prices a trace of sampled joint-workload designs
-  end to end (problem build + ``solve_hap``) through three kernel modes:
+  end to end (problem build + ``solve_hap``) through two paths:
 
   - the PR-1 baseline (scalar per-pair cost oracle + memoised full-replay
     move pricing: a fresh ``CostModel`` and ``build(batched=False)`` per
     design, ``solve_hap(resume=False)``),
-  - the scalar delta-resume path (union-primed ``build_many`` + certified
-    prune bounds + in-replay abort, ``solve_hap(batched=False)``),
-  - the batched array kernel (the default: one vectorised bound mask per
-    sweep, union-primed ``build_many``, lockstep waves per the wave cost
-    model),
+  - the default delta-resume path (union-primed ``build_many`` +
+    certified prune bounds + in-replay abort, ``solve_hap``),
 
-  asserts all three return **bit-identical** ``HAPResult``\\ s, and gates
-  the batched-over-baseline wall-clock ratio at >= 6x.  Timing is
-  interleaved (each repeat times every path back to back, minima are
-  compared) so shared-runner load hits all paths alike.
+  asserts both return **bit-identical** ``HAPResult``\\ s, and gates the
+  delta-resume-over-baseline wall-clock ratio at >= 6x.  Timing is
+  interleaved (each repeat times both paths back to back, minima are
+  compared) so shared-runner load hits both paths alike.
 
 Machine-readable record: ``benchmarks/results/BENCH_hap.json`` with keys
-``speedup`` (gated, batched vs PR-1), ``speedup_scalar`` (scalar
-delta-resume vs PR-1, informational), ``baseline_ms`` / ``scalar_ms`` /
-``fast_ms`` (per-trace wall-clock), ``designs``, ``latency_constraint``,
-``gate``, and ``pricing`` (the batched path's counters: ``moves_priced``,
+``speedup`` (gated, delta-resume vs PR-1), ``baseline_ms`` / ``fast_ms``
+(per-trace wall-clock), ``designs``, ``latency_constraint``, ``gate``,
+and ``pricing`` (the delta-resume path's counters: ``moves_priced``,
 ``pruned``, ``resumed``, ``steps_saved``, ``steps_replayed``,
-``full_replays``, ``memo_hits``, ``batched_rounds``, ``batch_width`` —
-see :class:`repro.mapping.schedule.MoveStats`), so the perf trajectory is
+``full_replays``, ``memo_hits`` — see
+:class:`repro.mapping.schedule.MoveStats`), so the perf trajectory is
 tracked across PRs.
 
 Run standalone (CI smoke uses ``--quick``)::
@@ -147,19 +143,11 @@ def build_design_trace(designs: int, seed: int = 5):
 
 
 def _price_fast(pairs, latency_constraint, stats=None):
-    """Batched array kernel: union-primed ``build_many`` over the whole
-    trace + the default (vectorised-bounds) solver."""
+    """Default path: union-primed ``build_many`` over the whole trace +
+    the delta-resume solver."""
     cost_model = CostModel()
     problems = MappingProblem.build_many(pairs, cost_model)
     return [solve_hap(problem, latency_constraint, stats=stats)
-            for problem in problems]
-
-
-def _price_scalar(pairs, latency_constraint):
-    """Scalar delta-resume kernel: same builds, ``batched=False``."""
-    cost_model = CostModel()
-    problems = MappingProblem.build_many(pairs, cost_model)
-    return [solve_hap(problem, latency_constraint, batched=False)
             for problem in problems]
 
 
@@ -186,8 +174,8 @@ def _best_of_interleaved(fns, repeats: int) -> list[float]:
 
 
 def run_benchmark(quick: bool = False) -> dict:
-    """Time the three pricing paths on the same trace; check that all
-    return bit-identical results.
+    """Time both pricing paths on the same trace; check that they return
+    bit-identical results.
 
     Quick mode keeps the full design mix (the ratio depends on it) and
     only trims timing repeats.
@@ -198,14 +186,12 @@ def run_benchmark(quick: bool = False) -> dict:
 
     stats = MoveStats()
     fast = _price_fast(pairs, latency_constraint, stats=stats)
-    scalar = _price_scalar(pairs, latency_constraint)
     baseline = _price_baseline(pairs, latency_constraint)
-    assert fast == scalar == baseline, (
-        "kernel modes diverged — bit-identity violated")
+    assert fast == baseline, (
+        "pricing paths diverged — bit-identity violated")
 
-    fast_s, scalar_s, baseline_s = _best_of_interleaved(
+    fast_s, baseline_s = _best_of_interleaved(
         [lambda: _price_fast(pairs, latency_constraint),
-         lambda: _price_scalar(pairs, latency_constraint),
          lambda: _price_baseline(pairs, latency_constraint)],
         repeats)
     speedup = baseline_s / fast_s if fast_s > 0 else float("inf")
@@ -213,11 +199,8 @@ def run_benchmark(quick: bool = False) -> dict:
         "designs": designs,
         "latency_constraint": latency_constraint,
         "baseline_ms": baseline_s * 1e3,
-        "scalar_ms": scalar_s * 1e3,
         "fast_ms": fast_s * 1e3,
         "speedup": speedup,
-        "speedup_scalar": (baseline_s / scalar_s if scalar_s > 0
-                           else float("inf")),
         "gate": MIN_SPEEDUP,
         "pricing": stats.as_dict(),
     }
@@ -233,10 +216,7 @@ def render(report: dict) -> str:
             ["PR-1 baseline (scalar build + full replays)",
              f"{report['baseline_ms']:.1f} ms",
              f"{report['baseline_ms'] / report['designs']:.2f} ms"],
-            ["scalar delta-resume (certified bounds)",
-             f"{report['scalar_ms']:.1f} ms",
-             f"{report['scalar_ms'] / report['designs']:.2f} ms"],
-            ["batched array kernel (vectorised bounds)",
+            ["delta-resume (certified bounds)",
              f"{report['fast_ms']:.1f} ms",
              f"{report['fast_ms'] / report['designs']:.2f} ms"],
         ],
@@ -245,8 +225,7 @@ def render(report: dict) -> str:
                f"LS={report['latency_constraint']})"))
     return (f"{table}\n"
             f"speedup: {report['speedup']:.1f}x "
-            f"(gate: >= {report['gate']:.0f}x; scalar "
-            f"{report['speedup_scalar']:.1f}x)   "
+            f"(gate: >= {report['gate']:.0f}x)   "
             f"moves: {pricing['moves_priced']} priced, "
             f"{pricing['pruned']} pruned, {pricing['resumed']} resumed "
             f"({saved:.1%} steps skipped)")
@@ -266,7 +245,7 @@ def run_gated(quick: bool = False) -> dict:
 
 
 def test_uncached_pricing_speedup(benchmark=None):
-    """Acceptance: >= 6x over the PR-1 baseline for the batched kernel,
+    """Acceptance: >= 6x over the PR-1 baseline for delta-resume,
     identical results (the identity assert lives inside run_benchmark)."""
     if benchmark is not None:
         report = run_once(benchmark, run_gated)

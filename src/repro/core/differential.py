@@ -209,23 +209,19 @@ def _check_cost_table(scenario: GeneratedScenario,
 
 def _check_hap_modes(scenario: GeneratedScenario,
                      rng: np.random.Generator) -> str | None:
-    """Batched, delta-resume, and PR-1 fast paths vs the oracle."""
+    """Delta-resume and PR-1 full-replay fast paths vs the oracle."""
     for index, (nets, accel) in enumerate(
             scenario.sample_pairs(rng, scenario.spec.design_samples)):
         problem = MappingProblem.build(nets, accel,
                                        CostModel(scenario.cost_params))
         constraint = _derived_constraint(problem, rng)
-        batched = _hap_facts(solve_hap(problem, constraint))
-        scalar = _hap_facts(solve_hap(problem, constraint, batched=False))
+        resumed = _hap_facts(solve_hap(problem, constraint))
         replayed = _hap_facts(solve_hap(problem, constraint, resume=False))
         oracle = _hap_facts(solve_hap(problem, constraint,
                                       incremental=False))
-        if batched != oracle:
-            return (f"design {index} (LS={constraint}): batched kernel "
-                    f"{batched[:3]} != oracle {oracle[:3]}")
-        if scalar != oracle:
+        if resumed != oracle:
             return (f"design {index} (LS={constraint}): delta-resume "
-                    f"{scalar[:3]} != oracle {oracle[:3]}")
+                    f"{resumed[:3]} != oracle {oracle[:3]}")
         if replayed != oracle:
             return (f"design {index} (LS={constraint}): full-replay "
                     f"{replayed[:3]} != oracle {oracle[:3]}")
@@ -610,7 +606,7 @@ for _pair in (
                "batched cost tables == scalar oracle (bit-identical)",
                _check_cost_table),
     OraclePair("hap-modes",
-               "batched / delta-resume / full-replay HAP == "
+               "delta-resume / full-replay HAP == "
                "full-reschedule oracle",
                _check_hap_modes),
     OraclePair("evalservice",

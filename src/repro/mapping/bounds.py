@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.mapping.problem import MappingProblem
 
@@ -51,6 +50,9 @@ class IlpBound:
 def energy_lower_bound(problem: MappingProblem,
                        latency_constraint: int) -> IlpBound:
     """Solve the scheduling-free ILP relaxation of a HAP instance."""
+    # Imported here: scipy costs ~0.5 s to load and nothing else needs it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     if latency_constraint <= 0:
         raise ValueError(
             f"latency constraint must be positive, got {latency_constraint}")

@@ -85,14 +85,8 @@ class MoveStats:
         full_replays: Replays from cycle 0 (scratch rebases and
             ``makespan()``).
         steps_replayed: Simulation steps actually executed (cutoff
-            early-exits stop counting where they stop simulating).  A
-            batched round counts one step per event per column.
+            early-exits stop counting where they stop simulating).
         steps_saved: Simulation steps skipped by delta-resume prefixes.
-        batched_rounds: :meth:`MakespanEvaluator.trial_moves` calls —
-            solver rounds priced as one vectorised suffix replay.
-        batch_width: Total candidate moves priced across all batched
-            rounds (``batch_width / batched_rounds`` is the mean round
-            width).
     """
 
     moves_priced: int = 0
@@ -102,8 +96,6 @@ class MoveStats:
     full_replays: int = 0
     steps_replayed: int = 0  # simulation steps actually executed
     steps_saved: int = 0
-    batched_rounds: int = 0
-    batch_width: int = 0
 
     def absorb(self, other: "MoveStats") -> None:
         """Accumulate ``other`` into this instance (for run aggregates)."""
@@ -114,8 +106,6 @@ class MoveStats:
         self.full_replays += other.full_replays
         self.steps_replayed += other.steps_replayed
         self.steps_saved += other.steps_saved
-        self.batched_rounds += other.batched_rounds
-        self.batch_width += other.batch_width
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict rendering for JSON reports."""
@@ -127,8 +117,6 @@ class MoveStats:
             "full_replays": self.full_replays,
             "steps_replayed": self.steps_replayed,
             "steps_saved": self.steps_saved,
-            "batched_rounds": self.batched_rounds,
-            "batch_width": self.batch_width,
         }
 
 
@@ -205,14 +193,6 @@ class MakespanEvaluator:
         self.evaluations = 0
         self.memo_hits = 0
         self.stats = MoveStats()
-        # Structure-of-arrays state for the batched kernel
-        # (:meth:`trial_moves` / :meth:`move_lower_bounds`).  Both caches
-        # are built lazily so scalar-only solves pay nothing:
-        # ``_batch_static`` holds per-instance constants, ``_batch_base``
-        # per-incumbent arrays (invalidated by every rebase).
-        self._durations_arr = problem.durations
-        self._batch_static: tuple | None = None
-        self._batch_base: tuple | None = None
         # Base-assignment state (populated by rebase).  Snapshots are flat
         # per-step slabs: step t's simulator state lives at
         # [t*num_nets : (t+1)*num_nets] of _snap_next/_snap_ready and
@@ -361,7 +341,6 @@ class MakespanEvaluator:
         self._base_tuple = tuple(assignment)
         self._base_makespan = makespan
         self._memo[self._base_tuple] = makespan
-        self._batch_base = None
         return makespan
 
     def _recorded_replay(self, assignment: tuple[int, ...],
@@ -707,399 +686,6 @@ class MakespanEvaluator:
             # matching makespan()'s per-step accounting.
             stats.steps_replayed += suffix - remaining
         return max_finish
-
-    # ------------------------------------------------------------------
-    # Batched (structure-of-arrays) move pricing
-    # ------------------------------------------------------------------
-    def snapshot_matrix(self) -> tuple[np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]:
-        """The recorded per-event snapshots as 2-D matrices.
-
-        Returns ``(next_idx, net_ready, slot_free, max_finish)`` where
-        row ``t`` of each matrix is the simulator state *before* event
-        ``t`` of the recorded base replay — the same data the scalar
-        :meth:`trial_move` resumes from, viewed as arrays (the flat
-        slabs are the backing store; the views are fresh copies).
-        Requires a prior :meth:`rebase` in resume mode.
-        """
-        if self._base is None or not self._resume:
-            raise RuntimeError(
-                "snapshot_matrix requires a prior rebase() in resume mode")
-        num_nets = len(self._chains)
-        steps = len(self._snap_maxfin)
-        return (
-            np.asarray(self._snap_next, dtype=np.int64)
-            .reshape(steps, num_nets),
-            np.asarray(self._snap_ready, dtype=np.int64)
-            .reshape(steps, num_nets),
-            np.asarray(self._snap_free, dtype=np.int64)
-            .reshape(steps, self._num_slots),
-            np.asarray(self._snap_maxfin, dtype=np.int64),
-        )
-
-    def _ensure_batch_static(self) -> tuple:
-        """Per-instance constants of the batched kernel, built lazily so
-        scalar-only solves pay nothing.
-
-        The chain table is padded with a sentinel layer id
-        ``num_layers``: an exhausted chain's head resolves to the
-        sentinel, which is pinned (in :meth:`_ensure_batch_base`) to a
-        sentinel slot whose free time is huge, so exhausted chains lose
-        every argmin without a per-step mask.
-        """
-        st = self._batch_static
-        if st is None:
-            num_nets = len(self._chains)
-            num_layers = self._num_layers
-            max_len = max(self._chain_lens) if num_nets else 0
-            pad = np.full((num_nets, max_len + 1), num_layers,
-                          dtype=np.int64)
-            for net, chain in enumerate(self._chains):
-                pad[net, :len(chain)] = chain
-            st = (
-                pad.reshape(-1),
-                np.arange(num_nets, dtype=np.int64) * (max_len + 1),
-                np.asarray(self._durations_arr, dtype=np.int64),
-                np.asarray(self._chain_of, dtype=np.int64),
-            )
-            self._batch_static = st
-        return st
-
-    def _ensure_batch_base(self) -> tuple:
-        """Per-incumbent arrays of the batched kernel (lazy; dropped by
-        every :meth:`rebase` so they always mirror the scalar tables)."""
-        bc = self._batch_base
-        if bc is None:
-            pad, pad_off, dur, _ = self._ensure_batch_static()
-            base_arr = np.asarray(self._base, dtype=np.int64)
-            dur_base = dur[np.arange(self._num_layers), base_arr]
-            loads_arr = np.asarray(self._slot_loads, dtype=np.int64)
-            snap = ()
-            if self._resume:
-                # Snapshot prune terms (see move_lower_bound): prefix
-                # makespans, flat ready/free slabs, per-layer chain-tail
-                # works, plus the per-step matrices behind the
-                # slot-remaining and other-chain-tail bounds.
-                num_nets = len(self._chains)
-                num_slots = self._num_slots
-                steps = len(self._snap_maxfin)
-                ready_flat = np.asarray(self._snap_ready, dtype=np.int64)
-                free_flat = np.asarray(self._snap_free, dtype=np.int64)
-                done_flat = np.asarray(self._snap_done, dtype=np.int64)
-                rem_arr = np.asarray(self._rem_work, dtype=np.int64)
-                # slot_rem[t, s]: slot s's prefix free time plus its
-                # remaining base work after step t.
-                slot_rem = (free_flat.reshape(steps, num_slots)
-                            + loads_arr
-                            - done_flat.reshape(steps, num_slots))
-                # tails[t, c]: chain c's head ready time at step t plus
-                # its remaining serial work (sentinel head -> rem 0, so
-                # an exhausted chain contributes just its ready time —
-                # a prefix finish time, dominated by the prefix term).
-                next_mat = (np.asarray(self._snap_next, dtype=np.int64)
-                            .reshape(steps, num_nets))
-                heads = pad[pad_off[None, :] + next_mat]
-                tails = (ready_flat.reshape(steps, num_nets)
-                         + np.append(rem_arr, 0)[heads])
-                tail_arg = tails.argmax(axis=1)
-                rows = np.arange(steps)
-                tail_max = tails[rows, tail_arg].copy()
-                tails[rows, tail_arg] = -1
-                tail_2nd = tails.max(axis=1)
-                snap = (
-                    np.asarray(self._snap_maxfin, dtype=np.int64),
-                    ready_flat,
-                    free_flat,
-                    rem_arr,
-                    slot_rem,
-                    tail_max,
-                    tail_arg,
-                    tail_2nd,
-                )
-            bc = (
-                base_arr,
-                np.asarray(self._resume_step, dtype=np.int64),
-                np.asarray(self._chain_work, dtype=np.int64),
-                np.asarray(self._chain_excl, dtype=np.int64),
-                loads_arr,
-                dur_base,
-                # Sentinel extensions: layer ``num_layers`` lives on
-                # sentinel slot ``num_slots`` with duration 0.
-                np.append(base_arr, self._num_slots),
-                np.append(dur_base, 0),
-            ) + snap
-            self._batch_base = bc
-        return bc
-
-    def move_lower_bounds(self, flat_ids: np.ndarray,
-                          positions: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`move_lower_bound` over move arrays.
-
-        ``bounds[i]`` equals ``move_lower_bound(flat_ids[i],
-        positions[i])`` bit for bit (pure int64 arithmetic on the same
-        prune tables); requires ``positions[i] != base[flat_ids[i]]``
-        for every move, and a prior :meth:`rebase`.
-        """
-        if self._base is None:
-            raise RuntimeError("move_lower_bounds requires a prior rebase()")
-        _, _, dur, chain_of = self._ensure_batch_static()
-        bc = self._ensure_batch_base()
-        base_arr, resume_arr, work, excl, loads, dur_base = bc[:6]
-        flat_ids = np.asarray(flat_ids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        m = flat_ids.shape[0]
-        cur = base_arr[flat_ids]
-        d_u = dur_base[flat_ids]
-        d_v = dur[flat_ids, positions]
-        chain_ids = chain_of[flat_ids]
-        bounds = np.maximum(work[chain_ids] - d_u + d_v, excl[chain_ids])
-        rows = np.arange(m)
-        if not self._resume:
-            trial_loads = np.repeat(loads[None, :], m, axis=0)
-            trial_loads[rows, cur] -= d_u
-            trial_loads[rows, positions] += d_v
-            if m:
-                np.maximum(bounds, trial_loads.max(axis=1), out=bounds)
-            return bounds
-        if m:
-            # Snapshot terms (see move_lower_bound): the prefix makespan
-            # at each move's resume step, the moved chain's tail from
-            # its head's earliest start there, the per-slot remaining
-            # work past each prefix, and the other chains' tails.
-            rs = resume_arr[flat_ids]
-            np.maximum(bounds, bc[8][rs], out=bounds)
-            ready = bc[9][rs * len(self._chains) + chain_ids]
-            free = bc[10][rs * self._num_slots + positions]
-            tail = np.maximum(ready, free) + bc[11][flat_ids] - d_u + d_v
-            np.maximum(bounds, tail, out=bounds)
-            slot_rem = bc[12][rs]
-            slot_rem[rows, cur] -= d_u
-            slot_rem[rows, positions] += d_v
-            np.maximum(bounds, slot_rem.max(axis=1), out=bounds)
-            other = np.where(chain_ids == bc[14][rs], bc[15][rs],
-                             bc[13][rs])
-            np.maximum(bounds, other, out=bounds)
-        return bounds
-
-    def trial_moves(self, flat_ids: np.ndarray, positions: np.ndarray,
-                    *, cutoff: int | None = None) -> np.ndarray:
-        """Makespans of a batch of candidate single-layer moves, priced
-        as lockstep array replays; same cutoff/exactness contract as
-        :meth:`trial_move`, per column.
-
-        Column ``i`` prices the base assignment with ``flat_ids[i]``
-        moved to ``positions[i]``.  The batch is split into
-        *resume-coherent waves* (columns whose resume steps lie close
-        together); every column of a wave replays from the wave's
-        earliest resume step.  This is exact for every member: a move's
-        recorded prefix ``[0, start_step)`` is identical to its own
-        replay (a layer's slot is never read before it is its chain's
-        head, and ``start_step <= resume_step[i]``), and lockstep
-        simulation from there is deterministic, so each column
-        reproduces exactly what the scalar :meth:`trial_move` computes.
-        The split matters for speed only: one chain-head move with
-        resume step 0 must not force a whole wave of deep-resume moves
-        to replay from cycle 0.
-
-        Without a cutoff ``out[i]`` equals ``trial_move(flat_ids[i],
-        positions[i])`` bit for bit; with a cutoff, ``out[i] <= cutoff``
-        is exact and ``out[i] > cutoff`` certifies the true value
-        exceeds the cutoff (a wave stops early once every column's
-        running lower bound — ``max(max_finish, this step's chosen
-        start)`` — exceeds it).  Property-tested against both the scalar
-        path and the full rescheduling oracle.
-
-        Requires resume mode, a prior :meth:`rebase`, and
-        ``positions[i] != base[flat_ids[i]]`` for every move.
-        """
-        if self._base is None:
-            raise RuntimeError("trial_moves requires a prior rebase()")
-        if not self._resume:
-            raise RuntimeError("trial_moves requires resume mode")
-        bc = self._ensure_batch_base()
-        flat_ids = np.asarray(flat_ids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        m = int(flat_ids.shape[0])
-        if m == 0:
-            return np.zeros(0, dtype=np.int64)
-        stats = self.stats
-        stats.moves_priced += m
-        stats.batched_rounds += 1
-        stats.batch_width += m
-        resume = bc[1][flat_ids]
-        num_layers = self._num_layers
-        num_nets = len(self._chains)
-        # Deepest-first stable sort, cut into resume-coherent waves, then
-        # price each wave through whichever engine its cost model says is
-        # cheaper.  A lockstep step costs a fixed ~_STEP_RATIO scalar
-        # step-events regardless of width (NumPy dispatch is the unit of
-        # cost at these sizes, not FLOPs), so the array program wins
-        # exactly when the wave's summed scalar suffixes exceed
-        # ``(num_layers - wave_min_resume) * _STEP_RATIO`` plus setup —
-        # wide waves of similar depth — and narrow or ragged waves keep
-        # the scalar delta-resume path.  Both engines honour the same
-        # cutoff/exactness contract, so the choice is invisible in the
-        # results (property-tested).
-        order = np.argsort(-resume, kind="stable")
-        sorted_resume = resume[order]
-        out = np.empty(m, dtype=np.int64)
-        scalar_steps = num_nets  # per-event cost of one scalar step
-        wave_start = 0
-        wave_top = int(sorted_resume[0])
-        for j in range(1, m + 1):
-            if (j < m
-                    and wave_top - int(sorted_resume[j])
-                    <= self._WAVE_SPREAD):
-                continue
-            idx = order[wave_start:j]
-            wave_lo = int(sorted_resume[j - 1])
-            width = int(idx.shape[0])
-            scalar_cost = (width * num_layers
-                           - int(sorted_resume[wave_start:j].sum()))
-            lockstep_cost = ((num_layers - wave_lo + self._WAVE_SETUP)
-                             * self._STEP_RATIO // scalar_steps)
-            if scalar_cost > lockstep_cost:
-                out[idx] = self._lockstep_wave(
-                    flat_ids[idx], positions[idx], wave_lo, cutoff)
-            else:
-                # trial_move counts each priced move itself; the batch
-                # already counted the whole call.
-                stats.moves_priced -= width
-                for i in idx:
-                    out[i] = self.trial_move(int(flat_ids[i]),
-                                             int(positions[i]),
-                                             cutoff=cutoff)
-            if j < m:
-                wave_start = j
-                wave_top = int(sorted_resume[j])
-        return out
-
-    def batch_gain(self, flat_ids: np.ndarray) -> float:
-        """Estimated cost ratio of scalar pricing over hybrid wave
-        pricing for this move set, under the same cost model
-        :meth:`trial_moves` routes with.
-
-        ``> 1`` means handing the set to :meth:`trial_moves` should beat
-        pricing the moves one at a time; callers that can do better than
-        a plain scalar loop (e.g. the feasibility walk, whose shrinking
-        cutoff the batch cannot see) should demand a margin above 1.
-        Requires a prior :meth:`rebase` in resume mode.
-        """
-        bc = self._ensure_batch_base()
-        resume = np.sort(bc[1][np.asarray(flat_ids, dtype=np.int64)])[::-1]
-        m = int(resume.shape[0])
-        if m == 0:
-            return 1.0
-        num_layers = self._num_layers
-        num_nets = len(self._chains)
-        scalar_cost = m * num_layers - int(resume.sum())
-        hybrid = 0
-        start = 0
-        top = int(resume[0])
-        for j in range(1, m + 1):
-            if (j < m
-                    and top - int(resume[j]) <= self._WAVE_SPREAD):
-                continue
-            seg = resume[start:j]
-            seg_scalar = int(seg.shape[0]) * num_layers - int(seg.sum())
-            seg_lock = ((num_layers - int(seg[-1]) + self._WAVE_SETUP)
-                        * self._STEP_RATIO // num_nets)
-            hybrid += min(seg_scalar, seg_lock)
-            if j < m:
-                start = j
-                top = int(resume[j])
-        return scalar_cost / max(hybrid, 1)
-
-    #: Resume-step spread tolerated inside one lockstep wave; waves are
-    #: cut where the spread would exceed it (see :meth:`trial_moves`).
-    _WAVE_SPREAD = 4
-    #: Calibrated cost of one lockstep array step, in units of scalar
-    #: per-net step-events (NumPy dispatch overhead vs a tight Python
-    #: inner loop; see the wave cost model in :meth:`trial_moves`).
-    _STEP_RATIO = 60
-    #: Fixed per-wave array-setup cost, in lockstep steps.
-    _WAVE_SETUP = 3
-
-    def _lockstep_wave(self, flat_ids: np.ndarray, positions: np.ndarray,
-                       start_step: int, cutoff: int | None) -> np.ndarray:
-        """Price one resume-coherent wave of moves from the recorded
-        snapshot at ``start_step`` (callers guarantee ``start_step <=
-        resume_step[flat_ids[i]]`` for every member).
-
-        The per-column state lives in flat arrays indexed with
-        precomputed row offsets (``.take`` beats 2-D fancy indexing by
-        ~4x at these sizes, and the sentinel padding removes the
-        exhausted-chain mask), because on the small instances the paper
-        targets the kernel is NumPy-dispatch-bound, not FLOP-bound.
-        """
-        chain_pad_flat, net_off, dur, _ = self._ensure_batch_static()
-        bc = self._batch_base
-        stats = self.stats
-        m = int(flat_ids.shape[0])
-        num_nets = len(self._chains)
-        num_slots = self._num_slots
-        num_layers = self._num_layers
-        nb = start_step * num_nets
-        sb = start_step * num_slots
-        s1 = num_slots + 1
-        l1 = num_layers + 1
-        huge = 1 << 62
-        # Flat per-column state seeded from the shared snapshot row.
-        pos0 = np.asarray(self._snap_next[nb:nb + num_nets],
-                          dtype=np.int64)
-        pos0 += net_off
-        pos_flat = np.tile(pos0, m)
-        ready = np.tile(np.asarray(self._snap_ready[nb:nb + num_nets],
-                                   dtype=np.int64), m)
-        free_row = np.empty(s1, dtype=np.int64)
-        free_row[:num_slots] = self._snap_free[sb:sb + num_slots]
-        free_row[num_slots] = huge
-        free = np.tile(free_row, m)
-        ar = np.arange(m, dtype=np.int64)
-        rows_net = ar * num_nets
-        rows_slot = ar * s1
-        rows_layer = ar * l1
-        rows_layer_n = np.repeat(rows_layer, num_nets)
-        rows_slot_n = np.repeat(rows_slot, num_nets)
-        assign_flat = np.tile(bc[6], m)
-        assign_flat[rows_layer + flat_ids] = positions
-        dur_flat = np.tile(bc[7], m)
-        dur_flat[rows_layer + flat_ids] = dur[flat_ids, positions]
-        max_fin = np.full(m, self._snap_maxfin[start_step], dtype=np.int64)
-        self.evaluations += m
-        if start_step:
-            stats.resumed += m
-            stats.steps_saved += start_step * m
-        else:
-            stats.full_replays += m
-        steps = num_layers - start_step
-        done = 0
-        while done < steps:
-            heads = chain_pad_flat.take(pos_flat)           # (m*nets,)
-            head_slot = assign_flat.take(rows_layer_n + heads)
-            start = np.maximum(ready, free.take(rows_slot_n + head_slot))
-            # First-min argmin matches the scalar tie-break (first net
-            # with a strictly smaller start wins).
-            best = np.argmin(start.reshape(m, num_nets), axis=1)
-            sel = rows_net + best
-            s_b = start.take(sel)
-            h_b = heads.take(sel)
-            fin = s_b + dur_flat.take(rows_layer + h_b)
-            ready[sel] = fin
-            free[rows_slot + head_slot.take(sel)] = fin
-            np.maximum(max_fin, fin, out=max_fin)
-            pos_flat[sel] += 1
-            done += 1
-            if (cutoff is not None
-                    and int(np.maximum(max_fin, s_b).min()) > cutoff):
-                # Every remaining event of a column starts at or after
-                # its chosen start this step, so each column's true
-                # makespan is at least max(max_finish, s_b) — the whole
-                # batch is certified above the cutoff.
-                stats.steps_replayed += done * m
-                return np.full(m, cutoff + 1, dtype=np.int64)
-        stats.steps_replayed += steps * m
-        return max_fin
 
 
 def _remaining_chain_work(problem: MappingProblem) -> list[int]:

@@ -39,6 +39,9 @@ are derived inside the strategy (rule 1), never in the CLI.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads ``numpy.random`` lazily; every search seeds a generator,
+# so load it at start-up rather than inside the first search.
+import numpy.random  # noqa: F401
 
 __all__ = ["new_rng", "restore_rng", "rng_state", "spawn_rng"]
 

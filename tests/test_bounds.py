@@ -1,5 +1,10 @@
 """Unit tests for the ILP energy lower bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +79,14 @@ class TestBoundCorrectness:
         bound = energy_lower_bound(prob, 10**9)
         assert bound.feasible
         assert bound.energy_nj <= heur.energy_nj + 1e-6
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only when a bound is solved: loading it roughly
+    doubles the start-up time of every ``repro`` command."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import NASAIC, ControllerConfig, NASAICConfig
-from repro.core.serialization import load_checkpoint
+from repro.core.serialization import load_checkpoint, result_to_dict
 from repro.workloads import w1
 
 FORMATS = Path(__file__).parent / "fixtures" / "formats"
@@ -57,3 +57,16 @@ def test_old_checkpoint_resumes_to_the_uninterrupted_rewards(meta):
     rewards = [record.reward for record in result.episodes]
     assert len(rewards) == meta["config"]["episodes"]
     assert rewards == pytest.approx(meta["episode_rewards"], abs=1e-9)
+    # The checkpoint pickles the retired vectorised-kernel counters; the
+    # restored stats must shed them rather than carry them forward
+    # (instance attributes: the class keeps a constant zero
+    # ``hap_batched_rounds``).
+    retired = ("batched_rounds", "batch_width", "hap_batched_rounds",
+               "hap_batch_width")
+    stats = vars(search.evalservice.stats)
+    move_stats = vars(search.evaluator.move_stats)
+    pricing = result_to_dict(result)["pricing"]
+    for name in retired:
+        assert name not in stats
+        assert name not in move_stats
+        assert name not in pricing

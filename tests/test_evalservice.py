@@ -137,39 +137,48 @@ class TestAccounting:
         text = service.stats.summary()
         assert "1 hits" in text and "1 misses" in text
 
-    def test_batched_kernel_counters_flow_to_run_record(self, workload,
-                                                        pairs,
-                                                        monkeypatch):
-        """The vectorised kernel's rounds/width counters mirror from the
-        evaluator into the stats, the pricing summary, the search
-        result, and the run JSON."""
+    def test_hap_counters_flow_to_run_record(self, workload, pairs):
+        """The HAP move-pricing counters mirror from the evaluator's
+        ``MoveStats`` into the service stats, the search result and the
+        run JSON, whose ``pricing`` key set is pinned here."""
         from repro.core.results import SearchResult
         from repro.core.serialization import result_to_dict
+        from repro.mapping import MappingProblem, solve_hap
 
-        # The fixture designs sit below the widths at which solve_hap
-        # selects the batched scans and dispatches lockstep waves;
-        # force both on so the counters move.
-        monkeypatch.setattr("repro.mapping.hap._BATCH_MIN", 1)
-        monkeypatch.setattr("repro.mapping.hap._PROBE", 0)
-        monkeypatch.setattr("repro.mapping.hap._WAVE_MIN", 1)
-        monkeypatch.setattr("repro.mapping.hap._GAIN_MARGIN", -1e9)
         evaluator = make_evaluator(workload)
+        # The default delta-resume path never consults the exact-makespan
+        # memo; one PR-1 full-replay solve accumulated into the
+        # evaluator's counters makes memo hits move too.
+        networks, accel = pairs[0]
+        problem = MappingProblem.build(networks, accel, CostModel())
+        solve_hap(problem, 10**9, resume=False, stats=evaluator.move_stats)
         service = EvalService(evaluator)
         service.evaluate_many(pairs)
         stats = service.stats
         moves = evaluator.move_stats
-        assert stats.hap_batched_rounds == moves.batched_rounds > 0
-        assert stats.hap_batch_width == moves.batch_width
-        assert stats.hap_batch_width >= stats.hap_batched_rounds
-        assert "batched rounds" in stats.pricing_summary()
+        mirrored = {
+            "hap_moves_priced": moves.moves_priced,
+            "hap_moves_pruned": moves.pruned,
+            "hap_moves_resumed": moves.resumed,
+            "hap_memo_hits": moves.memo_hits,
+            "hap_steps_saved": moves.steps_saved,
+            "hap_steps_replayed": moves.steps_replayed,
+        }
+        for name, value in mirrored.items():
+            assert value > 0, name
+            assert getattr(stats, name) == value, name
 
         result = SearchResult(name="probe")
         result.absorb_eval_stats(stats)
-        assert result.hap_batched_rounds == stats.hap_batched_rounds
-        assert result.hap_batch_width == stats.hap_batch_width
         pricing = result_to_dict(result)["pricing"]
-        assert pricing["hap_batched_rounds"] == stats.hap_batched_rounds
-        assert pricing["hap_batch_width"] == stats.hap_batch_width
+        del mirrored["hap_memo_hits"]  # not carried past the service
+        for name, value in mirrored.items():
+            assert getattr(result, name) == value, name
+            assert pricing[name] == value, name
+        assert set(pricing) == {
+            "store_hits", "cost_memo_hits", "cost_memo_misses",
+            *mirrored, "degraded", "retries", "reconnects",
+            "pool_restarts"}
 
 
 class TestBitIdentity:

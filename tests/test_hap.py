@@ -52,6 +52,13 @@ class TestHeuristicBasics:
         with pytest.raises(ValueError, match="positive"):
             solve_hap(prob, 0)
 
+    def test_retired_batched_flag_is_rejected(self):
+        # ``batched=`` selected a solver path that no longer exists;
+        # passing it must fail loudly, not be silently ignored.
+        prob = tiny_problem([[10, 30]], [(0,)])
+        with pytest.raises(TypeError):
+            solve_hap(prob, 100, batched=False)
+
     def test_two_networks_split_across_slots(self):
         # Each network fits one slot; splitting halves the makespan.
         prob = tiny_problem(

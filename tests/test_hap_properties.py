@@ -11,11 +11,7 @@ on randomly generated instances:
   identical results (same moves chosen, same schedule);
 - whenever the solver reports feasible, the makespan fits ``LS``;
 - the energy trajectory across refinement iterations is monotone
-  non-increasing (the refinement phase only ever accepts savings);
-- the vectorised kernel (``move_lower_bounds`` / ``trial_moves`` and
-  ``solve_hap(..., batched=True)``, the default) is bit-identical to
-  the scalar delta-resume path it batches, and its prune bounds are
-  sound (mask pruned implies the certified bound exceeds the cutoff).
+  non-increasing (the refinement phase only ever accepts savings).
 """
 
 from __future__ import annotations
@@ -224,139 +220,6 @@ class TestDeltaResume:
         assert got == 501
         assert evaluator.stats.pruned == 1
         assert evaluator.stats.steps_replayed == steps_before
-
-
-# ----------------------------------------------------------------------
-# Vectorised move kernel vs the scalar delta-resume path
-# ----------------------------------------------------------------------
-def all_moves(problem, base):
-    """Every single-layer move off ``base`` as (flat_ids, positions)."""
-    flat_ids, positions = [], []
-    for flat_id in range(problem.num_layers):
-        for pos in range(problem.num_slots):
-            if pos != base[flat_id]:
-                flat_ids.append(flat_id)
-                positions.append(pos)
-    return (np.asarray(flat_ids, dtype=np.int64),
-            np.asarray(positions, dtype=np.int64))
-
-
-class TestBatchedKernel:
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000))
-    def test_move_lower_bounds_match_scalar_bit_for_bit(self, seed):
-        """The snapshot-matrix bounds equal the scalar snapshot bounds
-        exactly, for every candidate move, across a walk of rebases."""
-        problem = random_problem(seed)
-        evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 31)
-        base = list(random_assignment(problem, rng))
-        evaluator.rebase(tuple(base))
-        for _ in range(3):
-            flat_ids, positions = all_moves(problem, base)
-            batched = evaluator.move_lower_bounds(flat_ids, positions)
-            for i in range(flat_ids.shape[0]):
-                scalar = evaluator.move_lower_bound(
-                    int(flat_ids[i]), int(positions[i]))
-                assert int(batched[i]) == scalar
-            # Accept a random move: fresh snapshots, fresh matrices.
-            flat_id = int(rng.integers(0, problem.num_layers))
-            base[flat_id] = int(rng.integers(0, problem.num_slots))
-            evaluator.rebase(tuple(base))
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000), cutoff_frac=st.floats(0.0, 1.5))
-    def test_prune_mask_is_sound(self, seed, cutoff_frac):
-        """Any move the vectorised prune mask drops (``bound > cutoff``)
-        genuinely exceeds the cutoff: the certified bound never exceeds
-        the true post-move makespan."""
-        problem = random_problem(seed)
-        evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 32)
-        base = list(random_assignment(problem, rng))
-        evaluator.rebase(tuple(base))
-        cutoff = int(list_schedule(problem, tuple(base)).makespan
-                     * cutoff_frac)
-        flat_ids, positions = all_moves(problem, base)
-        bounds = evaluator.move_lower_bounds(flat_ids, positions)
-        pruned = bounds > cutoff
-        for i in range(flat_ids.shape[0]):
-            flat_id, pos = int(flat_ids[i]), int(positions[i])
-            current = base[flat_id]
-            base[flat_id] = pos
-            truth = list_schedule(problem, tuple(base)).makespan
-            base[flat_id] = current
-            assert int(bounds[i]) <= truth
-            if pruned[i]:
-                assert truth > cutoff
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000))
-    def test_trial_moves_match_scalar_and_oracle(self, seed):
-        """Without a cutoff, every column of ``trial_moves`` equals the
-        scalar ``trial_move`` and the full-reschedule oracle bit for
-        bit, across a walk of rebases."""
-        problem = random_problem(seed, zero_durations=(seed % 4 == 0))
-        batched_eval = MakespanEvaluator(problem)
-        scalar_eval = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 33)
-        base = list(random_assignment(problem, rng))
-        batched_eval.rebase(tuple(base))
-        scalar_eval.rebase(tuple(base))
-        for _ in range(3):
-            flat_ids, positions = all_moves(problem, base)
-            got = batched_eval.trial_moves(flat_ids, positions)
-            for i in range(flat_ids.shape[0]):
-                flat_id, pos = int(flat_ids[i]), int(positions[i])
-                current = base[flat_id]
-                base[flat_id] = pos
-                oracle = list_schedule(problem, tuple(base)).makespan
-                base[flat_id] = current
-                assert int(got[i]) == scalar_eval.trial_move(flat_id, pos)
-                assert int(got[i]) == oracle
-            # Accept a random move: exercises the resume-rebase path.
-            flat_id = int(rng.integers(0, problem.num_layers))
-            base[flat_id] = int(rng.integers(0, problem.num_slots))
-            batched_eval.rebase(tuple(base))
-            scalar_eval.rebase(tuple(base))
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000), cutoff_frac=st.floats(0.0, 1.5))
-    def test_trial_moves_cutoff_is_certified_per_column(self, seed,
-                                                       cutoff_frac):
-        """With a cutoff, each column honours ``trial_move``'s contract:
-        exact when the result fits the cutoff, a true certificate of
-        ``truth > cutoff`` otherwise."""
-        problem = random_problem(seed, zero_durations=(seed % 4 == 0))
-        evaluator = MakespanEvaluator(problem)
-        rng = np.random.default_rng(seed + 34)
-        base = list(random_assignment(problem, rng))
-        evaluator.rebase(tuple(base))
-        cutoff = int(list_schedule(problem, tuple(base)).makespan
-                     * cutoff_frac)
-        flat_ids, positions = all_moves(problem, base)
-        got = evaluator.trial_moves(flat_ids, positions, cutoff=cutoff)
-        for i in range(flat_ids.shape[0]):
-            flat_id, pos = int(flat_ids[i]), int(positions[i])
-            current = base[flat_id]
-            base[flat_id] = pos
-            truth = list_schedule(problem, tuple(base)).makespan
-            base[flat_id] = current
-            if int(got[i]) <= cutoff:
-                assert int(got[i]) == truth
-            else:
-                assert truth > cutoff
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000))
-    def test_batched_solver_equals_scalar_solver(self, seed):
-        """``solve_hap`` with the vectorised kernel (default) and with
-        the scalar delta-resume path return bit-identical results."""
-        problem = random_problem(seed)
-        rng = np.random.default_rng(seed + 35)
-        budget = budget_for(problem, rng)
-        assert (solve_hap(problem, budget)
-                == solve_hap(problem, budget, batched=False))
 
 
 # ----------------------------------------------------------------------
